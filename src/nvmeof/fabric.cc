@@ -28,8 +28,7 @@ Fabric::Connection::Connection(const sim::FabricParams& p, int host_idx,
       nqn(std::move(name)),
       disk(d),
       open(true),
-      next_backoff_s(p.reconnect_backoff_s),
-      admin(0, std::max(1, p.qpair_depth)) {
+      next_backoff_s(p.reconnect_backoff_s) {
   const int n = std::max(1, p.io_qpairs);
   const int depth = std::max(1, p.qpair_depth);
   io_qpairs.reserve(static_cast<std::size_t>(n));
@@ -53,18 +52,16 @@ int Fabric::add_host(std::string name) {
 }
 
 ConnectionId Fabric::connect(int initiator_host, const Nqn& nqn,
-                             sim::Disk* disk, sim::SimTime now) {
+                             sim::Disk* disk, sim::SimTime /*now*/) {
   ECF_CHECK_GE(initiator_host, 0) << " fabric host";
   ECF_CHECK_LT(initiator_host, static_cast<int>(links_.size()))
       << " fabric host";
   ECF_CHECK(disk != nullptr) << " fabric connect needs a backing disk";
   connections_.emplace_back(transport_.params(), initiator_host, nqn, disk);
-  const ConnectionId id = static_cast<ConnectionId>(connections_.size()) - 1;
-  (void)now;
-  return id;
+  return static_cast<ConnectionId>(connections_.size()) - 1;
 }
 
-void Fabric::disconnect(ConnectionId id, sim::SimTime now) {
+void Fabric::disconnect(ConnectionId id, sim::SimTime /*now*/) {
   ECF_CHECK_GE(id, 0) << " fabric connection";
   ECF_CHECK_LT(id, static_cast<ConnectionId>(connections_.size()))
       << " fabric connection";
@@ -72,7 +69,6 @@ void Fabric::disconnect(ConnectionId id, sim::SimTime now) {
   if (!c.open) return;
   c.open = false;
   c.disk = nullptr;
-  (void)now;
 }
 
 std::optional<Fabric::IoResult> Fabric::read(ConnectionId id,

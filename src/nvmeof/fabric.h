@@ -2,15 +2,15 @@
 // keep-alive/reconnect state machine.
 //
 // One Fabric instance models the whole experiment's storage network. Each
-// host registers a Link (its fabric port, see transport.h); each
-// provisioned namespace gets a Connection from its initiator host to the
-// target, carrying one admin queue pair plus N I/O queue pairs. All block
-// I/O the cluster issues flows through Connection::read/write, which
-// charge, in order: qpair backpressure, the request capsule over the
-// shared link, the backing sim::Disk (starting at capsule arrival), and
-// the response transfer — returning both the completion time and how much
-// of it was transport (not disk), so experiment logs can attribute
-// recovery time to the network.
+// host registers a Link (its fabric port, see transport.h); each provisioned
+// namespace gets a Connection from its initiator host to the target, with N
+// I/O queue pairs (no admin queue: keep-alives are counted, not queued). All
+// block I/O the cluster issues flows through Connection::read/write, which
+// charge, in order: qpair backpressure, the request capsule over the shared
+// link, the backing sim::Disk (starting at capsule arrival), and the
+// response transfer — returning both the completion time and how much of it
+// was transport (not disk), so experiment logs can attribute recovery time
+// to the network.
 //
 // Connection health follows the NVMe-oF host model:
 //
@@ -61,7 +61,7 @@ struct FabricLoadView {
 struct ConnectionStats {
   std::uint64_t commands = 0;
   std::uint64_t retries = 0;          // retransmitted commands (loss, down)
-  std::uint64_t keepalives = 0;       // admin-queue keep-alives sent
+  std::uint64_t keepalives = 0;       // keep-alives sent (counted, not queued)
   std::uint64_t reconnect_attempts = 0;
   std::uint64_t reconnects = 0;       // successful re-establishments
   std::uint64_t bytes_read = 0;       // payload bytes moved target->host
@@ -99,7 +99,7 @@ class Fabric {
   int num_hosts() const { return static_cast<int>(links_.size()); }
 
   // Establish initiator_host -> target path for `nqn`, backed by `disk`.
-  // Queue pairs (admin + io_qpairs) are created per FabricParams.
+  // I/O queue pairs are created per FabricParams.
   ConnectionId connect(int initiator_host, const Nqn& nqn, sim::Disk* disk,
                        sim::SimTime now);
   // Tear the path down (subsystem removed / device failed). In-flight
@@ -161,7 +161,6 @@ class Fabric {
     sim::SimTime timed_out_at = 0;  // when keep-alive declared the loss
     double next_backoff_s = 0;
     std::vector<QueuePair> io_qpairs;
-    QueuePair admin;
     ConnectionStats stats;
 
     Connection(const sim::FabricParams& p, int host_idx, Nqn name,

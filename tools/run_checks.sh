@@ -3,6 +3,7 @@
 #
 #   tools/run_checks.sh [lint|analyze|units|asan|tsan|bench|all]
 #   tools/run_checks.sh analyze --update-baseline
+#   tools/run_checks.sh profile paper_suite|scale_1m|codec
 #
 # lint    : run the ecf_lint ctest from the dev build (token-level rules).
 # analyze : run the ecf_analyze ctest from the dev build (layering, call-graph
@@ -26,6 +27,13 @@
 #           regresses, bench_scale if the shard drain drops below 2x
 #           aggregate events/s or the 1M-object campaign leaves its
 #           30 s / 2 GiB budget.
+# profile : build perfbench_bin with -pg into build-profile/ (perfbench's
+#           own CMakeLists.txt, RelWithDebInfo), run one repetition of the
+#           workload at --seed 1, and fold gprof's flat profile into layers
+#           by the first ecf::<ns>:: in each symbol (gf, ec, sim, nvmeof,
+#           cluster, ecfault; anything else is "other"). Prints each layer's
+#           share of self time and the top 10 symbols; the full flat profile
+#           stays in build-profile/flat-<workload>.txt. Not part of `all`.
 # all     : lint, analyze, asan, tsan, bench — the CI order: cheap
 #           source-level checks fail fast before any sanitized rebuild
 #           starts; perf smoke runs last on the already-built dev tree.
@@ -81,6 +89,55 @@ run_bench() {
   ctest --preset bench-smoke
 }
 
+run_profile() {
+  local workload="${1:-}"
+  case "${workload}" in
+    paper_suite|scale_1m|codec) ;;
+    *)
+      echo "usage: $0 profile paper_suite|scale_1m|codec" >&2
+      exit 2
+      ;;
+  esac
+  echo "== gprof: perfbench ${workload}, one repetition at --seed 1 =="
+  cmake -S perfbench -B build-profile -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg
+  cmake --build build-profile -j "${JOBS}" --target perfbench_bin
+  rm -f build-profile/gmon.out
+  # gmon.out is written to the working directory when the process exits.
+  (cd build-profile && ./perfbench_bin "${workload}" --seed 1 --trace 0 >/dev/null)
+  local flat="build-profile/flat-${workload}.txt"
+  gprof -b -p build-profile/perfbench_bin build-profile/gmon.out > "${flat}"
+  python3 - "${flat}" <<'PY'
+import re
+import sys
+
+LAYERS = ("gf", "ec", "sim", "nvmeof", "cluster", "ecfault")
+# %time, cumulative s, self s, [calls, self ms/call, total ms/call], name
+ROW = re.compile(r"^\s*[\d.]+\s+[\d.]+\s+([\d.]+)\s+"
+                 r"(?:(\d+)\s+[\d.]+\s+[\d.]+\s+)?(\S.*)$")
+
+rows = []
+with open(sys.argv[1]) as flat:
+    for line in flat:
+        m = ROW.match(line)
+        if m:
+            rows.append((float(m.group(1)), m.group(2) or "-", m.group(3)))
+total = sum(r[0] for r in rows) or 1.0
+by_layer = dict.fromkeys(LAYERS + ("other",), 0.0)
+for self_s, _, name in rows:
+    ns = re.search(r"ecf::(\w+)::", name)
+    by_layer[ns.group(1) if ns and ns.group(1) in LAYERS else "other"] += self_s
+print("layer    self_s   share")
+for layer, self_s in by_layer.items():
+    print("%-8s %7.2f  %5.1f%%" % (layer, self_s, 100 * self_s / total))
+print("top 10 symbols by self time (%.2f s sampled)" % total)
+for self_s, calls, name in sorted(rows, key=lambda r: -r[0])[:10]:
+    name = name if len(name) <= 110 else name[:107] + "..."
+    print("%5.1f%% %7.2f s %10s  %s" % (100 * self_s / total, self_s, calls,
+                                        name))
+PY
+}
+
 run_asan() {
   echo "== ASan + UBSan: full test suite =="
   cmake --preset asan-ubsan
@@ -108,9 +165,10 @@ case "${MODE}" in
   asan)    run_asan ;;
   tsan)    run_tsan ;;
   bench)   run_bench ;;
+  profile) run_profile "${2:-}" ;;
   all)     run_lint; run_analyze; run_asan; run_tsan; run_bench ;;
   *)
-    echo "usage: $0 [lint|analyze|units|asan|tsan|bench|all]" >&2
+    echo "usage: $0 [lint|analyze|units|asan|tsan|bench|profile <workload>|all]" >&2
     exit 2
     ;;
 esac
